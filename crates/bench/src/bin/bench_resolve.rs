@@ -1,7 +1,7 @@
-//! **Resolve-stage microbench** — monolithic serial NED+CR vs
-//! component-decomposed parallel resolve with candidate pruning and
-//! greedy warm start, with byte-identity cross-checks (the decomposed
-//! KB must equal the monolithic KB at every `resolve_parallelism`).
+//! **Resolve-stage microbench** — monolithic NED+CR vs component-
+//! decomposed resolve with candidate pruning and greedy warm start, with
+//! byte-identity cross-checks (the decomposed KB must equal the
+//! monolithic KB). Both arms of each pair run on one thread.
 //!
 //! Run: `cargo run -p qkb_bench --release --bin bench_resolve
 //!       [-- --quick] [-- --docs N] [-- --out FILE.json]`
@@ -9,7 +9,7 @@
 //! Two arms:
 //! * **greedy** — the production solver. Baseline: whole-document
 //!   densification (`resolve_decomposition = false`). Fast: coupling
-//!   components solved on 8 workers.
+//!   components solved one after another with lazy rescoring.
 //! * **ilp** — the exact Appendix-A solver on a smaller doc set.
 //!   Baseline: one monolithic program, no pruning, cold branch-and-bound.
 //!   Fast: per-component programs with dominated candidates pruned and
@@ -21,11 +21,12 @@
 //! path against the production `qkb_serve::ComponentCache` tier —
 //! cached components replay, only novel ones reach the solver — and
 //! must clear the same ≥2x resolve-stage bar with a byte-identical KB,
-//! cache on or off, at every `resolve_parallelism`.
+//! cache on or off.
 //!
 //! The JSON report (default `BENCH_resolve.json`) records `resolve_us`,
-//! `ilp_variables` and `bnb_nodes` series per parallelism; all arms
-//! assert the ≥2x speedup bar that CI enforces.
+//! `ilp_variables` and `bnb_nodes` per arm; each headline `speedup` is
+//! the ratio of its two arms, and all three assert the ≥2x bar that CI
+//! enforces.
 
 use qkb_bench::{build_fixture, Table};
 use qkb_serve::ComponentCache;
@@ -76,86 +77,55 @@ fn run_arm(sys: &Qkbfly, docs: &[String], reps: usize) -> ArmRun {
     }
 }
 
-struct Arm {
-    parallelism: usize,
-    run: ArmRun,
-}
-
-/// One solver arm: monolithic baseline + decomposed runs at
-/// `resolve_parallelism` 1/2/8, all byte-identical. Returns
-/// `(baseline, decomposed_arms)`.
-fn bench_solver(
-    base_sys: &Qkbfly,
-    docs: &[String],
-    reps: usize,
-    label: &str,
-) -> (ArmRun, Vec<Arm>) {
-    let monolithic = base_sys.with_config_override(|c| {
-        c.resolve_decomposition = false;
-    });
+/// One solver: monolithic baseline + decomposed run, byte-identical.
+/// Returns `(baseline, decomposed)`.
+fn bench_solver(base_sys: &Qkbfly, docs: &[String], reps: usize, label: &str) -> (ArmRun, ArmRun) {
+    let monolithic = base_sys.with_config_override(|c| c.resolve_decomposition = false);
     let baseline = run_arm(&monolithic, docs, reps);
-
-    let mut arms = Vec::new();
-    for parallelism in [1usize, 2, 8] {
-        let sys = base_sys.with_config_override(|c| {
-            c.resolve_decomposition = true;
-            c.resolve_parallelism = parallelism;
-        });
-        let run = run_arm(&sys, docs, reps);
-        assert_eq!(
-            run.fingerprint, baseline.fingerprint,
-            "{label}: decomposed KB at resolve_parallelism={parallelism} diverged from the \
-             monolithic KB — determinism bug"
-        );
-        arms.push(Arm { parallelism, run });
-    }
-    (baseline, arms)
+    let decomposed_sys = base_sys.with_config_override(|c| c.resolve_decomposition = true);
+    let decomposed = run_arm(&decomposed_sys, docs, reps);
+    assert_eq!(
+        decomposed.fingerprint, baseline.fingerprint,
+        "{label}: decomposed KB diverged from the monolithic KB — determinism bug"
+    );
+    (baseline, decomposed)
 }
 
-fn arm_json(label: &str, docs: usize, baseline: &ArmRun, arms: &[Arm], bar: f64) -> Value {
-    let fast = arms.last().expect("arms");
-    let headline = baseline.resolve_s / fast.run.resolve_s;
-    let series = arms.iter().map(|a| {
-        Value::object()
-            .with("resolve_parallelism", a.parallelism)
-            .with("resolve_us", a.run.resolve_s * 1e6)
-            .with("speedup", baseline.resolve_s / a.run.resolve_s)
-            .with("components", a.run.counters.components)
-            .with("ilp_variables", a.run.counters.ilp_variables)
-            .with("bnb_nodes", a.run.counters.bnb_nodes)
-            .with("pruned_candidates", a.run.counters.pruned_candidates)
-    });
+fn counters_json(run: &ArmRun) -> Value {
+    Value::object()
+        .with("resolve_us", run.resolve_s * 1e6)
+        .with("components", run.counters.components)
+        .with("ilp_variables", run.counters.ilp_variables)
+        .with("bnb_nodes", run.counters.bnb_nodes)
+        .with("pruned_candidates", run.counters.pruned_candidates)
+}
+
+fn arm_json(label: &str, docs: usize, baseline: &ArmRun, fast: &ArmRun, bar: f64) -> Value {
+    let headline = baseline.resolve_s / fast.resolve_s;
     println!(
-        "\n{label}: {headline:.2}x over monolithic serial (bar: {bar:.1}x) — \
+        "\n{label}: {headline:.2}x over monolithic (bar: {bar:.1}x) — \
          {} -> {} ILP vars, {} -> {} bnb nodes",
         baseline.counters.ilp_variables,
-        fast.run.counters.ilp_variables,
+        fast.counters.ilp_variables,
         baseline.counters.bnb_nodes,
-        fast.run.counters.bnb_nodes,
+        fast.counters.bnb_nodes,
     );
     assert!(
         headline >= bar,
         "{label}: resolve speedup {headline:.2}x is below the {bar:.1}x bar \
          (baseline {:.1} ms vs decomposed {:.1} ms)",
         baseline.resolve_s * 1e3,
-        fast.run.resolve_s * 1e3,
+        fast.resolve_s * 1e3,
     );
     Value::object()
         .with("docs", docs)
-        .with(
-            "baseline",
-            Value::object()
-                .with("resolve_us", baseline.resolve_s * 1e6)
-                .with("components", baseline.counters.components)
-                .with("ilp_variables", baseline.counters.ilp_variables)
-                .with("bnb_nodes", baseline.counters.bnb_nodes),
-        )
-        .with("series", Value::array(series))
+        .with("baseline", counters_json(baseline))
+        .with("decomposed", counters_json(fast))
         .with("speedup", headline)
         .with("deterministic", true)
 }
 
-fn print_arms(title: &str, baseline: &ArmRun, arms: &[Arm]) {
+fn print_arms(title: &str, baseline: &ArmRun, fast: &ArmRun) {
     let mut table = Table::new([
         "Arm",
         "Resolve wall-clock",
@@ -165,24 +135,15 @@ fn print_arms(title: &str, baseline: &ArmRun, arms: &[Arm]) {
         "B&B nodes",
         "Pruned",
     ]);
-    table.row([
-        format!("{title} monolithic"),
-        format!("{:.1} ms", baseline.resolve_s * 1e3),
-        "1.00x".to_string(),
-        baseline.counters.components.to_string(),
-        baseline.counters.ilp_variables.to_string(),
-        baseline.counters.bnb_nodes.to_string(),
-        baseline.counters.pruned_candidates.to_string(),
-    ]);
-    for a in arms {
+    for (arm, run) in [("monolithic", baseline), ("decomposed", fast)] {
         table.row([
-            format!("{title} decomposed x{}", a.parallelism),
-            format!("{:.1} ms", a.run.resolve_s * 1e3),
-            format!("{:.2}x", baseline.resolve_s / a.run.resolve_s),
-            a.run.counters.components.to_string(),
-            a.run.counters.ilp_variables.to_string(),
-            a.run.counters.bnb_nodes.to_string(),
-            a.run.counters.pruned_candidates.to_string(),
+            format!("{title} {arm}"),
+            format!("{:.1} ms", run.resolve_s * 1e3),
+            format!("{:.2}x", baseline.resolve_s / run.resolve_s),
+            run.counters.components.to_string(),
+            run.counters.ilp_variables.to_string(),
+            run.counters.bnb_nodes.to_string(),
+            run.counters.pruned_candidates.to_string(),
         ]);
     }
     table.print();
@@ -190,7 +151,7 @@ fn print_arms(title: &str, baseline: &ArmRun, arms: &[Arm]) {
 
 /// The incremental re-resolution arm: the resolve stage on *fresh*
 /// documents overlapping ~70% with seen ones, cache off vs. warmed
-/// component cache, at `resolve_parallelism` 1/2/8.
+/// component cache.
 ///
 /// Honesty note: every cache-on rep gets a **fresh** tier warmed by one
 /// untimed build of the seen documents, then exactly one timed build of
@@ -203,80 +164,58 @@ fn bench_component_cache(
     reps: usize,
     bar: f64,
 ) -> Value {
-    let mut table = Table::new([
-        "resolve_parallelism",
-        "Cache off",
-        "Cache on (warmed)",
-        "Speedup",
-        "Hit rate",
-    ]);
-    let mut series = Vec::new();
-    let mut headline = f64::INFINITY;
-    for parallelism in [1usize, 2, 8] {
-        let sys = base_sys.with_config_override(|c| {
-            c.resolve_decomposition = true;
-            c.resolve_parallelism = parallelism;
-        });
-        let off = run_arm(&sys, fresh, reps);
-        let mut on_s = f64::INFINITY;
-        let mut fingerprint = String::new();
-        let mut counters = ResolveCounters::default();
-        for rep in 0..reps {
-            let tier = Arc::new(ComponentCache::new(256 << 20, 8));
-            let cached = sys.with_resolve_cache(tier.clone());
-            let warm = cached.build_kb(seen); // untimed warm-up
-            std::hint::black_box(warm.kb.n_facts());
-            let result = cached.build_kb(fresh);
-            if rep == 0 {
-                fingerprint = result.kb.to_json(sys.patterns()).to_string();
-                for d in &result.per_doc {
-                    counters.add(&d.resolve);
-                }
+    let sys = base_sys.with_config_override(|c| c.resolve_decomposition = true);
+    let off = run_arm(&sys, fresh, reps);
+    let mut on_s = f64::INFINITY;
+    let mut fingerprint = String::new();
+    let mut counters = ResolveCounters::default();
+    for rep in 0..reps {
+        let tier = Arc::new(ComponentCache::new(256 << 20, 8));
+        let cached = sys.with_resolve_cache(tier.clone());
+        let warm = cached.build_kb(seen); // untimed warm-up
+        std::hint::black_box(warm.kb.n_facts());
+        let result = cached.build_kb(fresh);
+        if rep == 0 {
+            fingerprint = result.kb.to_json(sys.patterns()).to_string();
+            for d in &result.per_doc {
+                counters.add(&d.resolve);
             }
-            on_s = on_s.min(result.timings.resolve.as_secs_f64());
         }
-        assert_eq!(
-            fingerprint, off.fingerprint,
-            "component cache changed the KB at resolve_parallelism={parallelism} — \
-             collision-safety bug"
-        );
-        assert!(
-            counters.cache_hits > 0,
-            "the overlapping fresh documents must replay cached components"
-        );
-        let hit_rate =
-            counters.cache_hits as f64 / (counters.cache_hits + counters.cache_misses) as f64;
-        let speedup = off.resolve_s / on_s;
-        headline = headline.min(speedup);
-        table.row([
-            format!("x{parallelism}"),
-            format!("{:.1} ms", off.resolve_s * 1e3),
-            format!("{:.1} ms", on_s * 1e3),
-            format!("{speedup:.2}x"),
-            format!("{:.0}%", hit_rate * 100.0),
-        ]);
-        series.push(
-            Value::object()
-                .with("resolve_parallelism", parallelism)
-                .with("resolve_off_us", off.resolve_s * 1e6)
-                .with("resolve_on_us", on_s * 1e6)
-                .with("speedup", speedup)
-                .with("cache_hits", counters.cache_hits)
-                .with("cache_misses", counters.cache_misses)
-                .with("hit_rate", hit_rate),
-        );
+        on_s = on_s.min(result.timings.resolve.as_secs_f64());
     }
-    table.print();
-    println!("\ncomponent_cache: {headline:.2}x worst-case over cache-off (bar: {bar:.1}x)");
+    assert_eq!(
+        fingerprint, off.fingerprint,
+        "component cache changed the KB — collision-safety bug"
+    );
     assert!(
-        headline >= bar,
-        "component_cache: resolve speedup {headline:.2}x is below the {bar:.1}x bar"
+        counters.cache_hits > 0,
+        "the overlapping fresh documents must replay cached components"
+    );
+    let hit_rate =
+        counters.cache_hits as f64 / (counters.cache_hits + counters.cache_misses) as f64;
+    let speedup = off.resolve_s / on_s;
+    let mut table = Table::new(["Cache off", "Cache on (warmed)", "Speedup", "Hit rate"]);
+    table.row([
+        format!("{:.1} ms", off.resolve_s * 1e3),
+        format!("{:.1} ms", on_s * 1e3),
+        format!("{speedup:.2}x"),
+        format!("{:.0}%", hit_rate * 100.0),
+    ]);
+    table.print();
+    println!("\ncomponent_cache: {speedup:.2}x over cache-off (bar: {bar:.1}x)");
+    assert!(
+        speedup >= bar,
+        "component_cache: resolve speedup {speedup:.2}x is below the {bar:.1}x bar"
     );
     Value::object()
         .with("seen_docs", seen.len())
         .with("fresh_docs", fresh.len())
-        .with("series", Value::array(series))
-        .with("speedup", headline)
+        .with("resolve_off_us", off.resolve_s * 1e6)
+        .with("resolve_on_us", on_s * 1e6)
+        .with("cache_hits", counters.cache_hits)
+        .with("cache_misses", counters.cache_misses)
+        .with("hit_rate", hit_rate)
+        .with("speedup", speedup)
         .with("deterministic", true)
 }
 
@@ -288,7 +227,7 @@ fn main() {
         .unwrap_or(if quick { 4 } else { 12 });
     let reps = if quick { 3 } else { 5 };
 
-    println!("== resolve stage: monolithic serial vs decomposed parallel ==");
+    println!("== resolve stage: monolithic vs decomposed ==");
     let fx = build_fixture();
     let stats = fx.stats();
 
@@ -309,12 +248,12 @@ fn main() {
                 .join("\n\n")
         })
         .collect();
-    // Document-level fan-out pinned to 1 so the resolve knob is the only
+    // Document-level fan-out pinned to 1 so decomposition is the only
     // difference between arms.
     let mut greedy_sys = fx.system(stats, Variant::Joint, SolverKind::Greedy);
     greedy_sys.config_mut().parallelism = 1;
-    let (greedy_base, greedy_arms) = bench_solver(&greedy_sys, &docs, reps, "greedy");
-    print_arms("greedy", &greedy_base, &greedy_arms);
+    let (greedy_base, greedy_fast) = bench_solver(&greedy_sys, &docs, reps, "greedy");
+    print_arms("greedy", &greedy_base, &greedy_fast);
 
     // --- ILP arm: two-page *news* documents — alias-ambiguous mentions
     // (repeated surnames) make the joint-rel expansion and the
@@ -336,8 +275,8 @@ fn main() {
         .collect();
     let mut ilp_sys = fx.system(fx.stats(), Variant::Joint, SolverKind::Ilp);
     ilp_sys.config_mut().parallelism = 1;
-    let (ilp_base, ilp_arms) = bench_solver(&ilp_sys, &ilp_docs, reps, "ilp");
-    print_arms("ilp", &ilp_base, &ilp_arms);
+    let (ilp_base, ilp_fast) = bench_solver(&ilp_sys, &ilp_docs, reps, "ilp");
+    print_arms("ilp", &ilp_base, &ilp_fast);
 
     // --- component-cache arm: incremental re-resolution on the ILP
     // path, where the per-component solve (candidate scoring, program
@@ -365,8 +304,8 @@ fn main() {
     let fresh_docs: Vec<String> = seen_docs.iter().cloned().chain(novel_docs).collect();
     let cc_json = bench_component_cache(&ilp_sys, &seen_docs, &fresh_docs, reps, 2.0);
 
-    let greedy_json = arm_json("greedy", docs.len(), &greedy_base, &greedy_arms, 2.0);
-    let ilp_json = arm_json("ilp", ilp_docs.len(), &ilp_base, &ilp_arms, 2.0);
+    let greedy_json = arm_json("greedy", docs.len(), &greedy_base, &greedy_fast, 2.0);
+    let ilp_json = arm_json("ilp", ilp_docs.len(), &ilp_base, &ilp_fast, 2.0);
 
     let report = Value::object()
         .with("bench", "resolve")

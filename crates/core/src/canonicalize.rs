@@ -58,68 +58,22 @@ pub struct DocCanonOutput {
     pub links: Vec<(usize, String, qkb_kb::EntityId, f64)>,
 }
 
-/// The deterministic cluster layout of one densified document: union-find
-/// roots over the surviving `sameAs` edges, with clusters listed in
-/// first-member-appearance order (over `built.mentions`) — the order the
-/// document-order reduce applies decisions in.
-pub struct ClusterPlan {
-    /// Resolved union-find root per mention node.
-    root_of: FxHashMap<NodeId, NodeId>,
-    /// Clusters in first-appearance order.
-    pub clusters: Vec<Cluster>,
-}
-
-/// One mention cluster of a [`ClusterPlan`].
-pub struct Cluster {
-    /// The cluster's union-find root.
-    root: NodeId,
-    /// Member mention nodes, in `built.mentions` order.
-    members: Vec<NodeId>,
-    /// Ownership key for sharded canonicalization: the hash of the
-    /// resolved canonical repository id when the cluster carries an
-    /// entity resolution, otherwise a novel-cluster key (fingerprint of
-    /// the member mention texts). Deciding a cluster is a pure function
-    /// of the stage-1 artifact, so any shard that owns this key computes
-    /// the same [`ClusterDecision`].
-    pub ownership: u64,
-}
-
-/// What canonicalization decided for one mention cluster — everything the
-/// serial, KB-state-dependent apply step needs, computed without touching
-/// the KB (and therefore computable on any shard, in any order).
-pub enum ClusterDecision {
-    /// A standalone time mention.
-    Time(String),
-    /// Linked to the entity repository with the given confidence; the
-    /// member texts become KB mentions and `links` are the per-NP link
-    /// records `(sentence, phrase, confidence)` for NED assessment.
-    Linked {
-        /// The resolved repository entity.
-        entity: qkb_kb::EntityId,
-        /// Its repository-canonical display name (resolved at decide
-        /// time, so the apply step needs no repository access).
-        name: String,
-        /// Link confidence (the group resolution's).
-        confidence: f64,
-        /// Noun-phrase member texts, in member order.
-        texts: Vec<String>,
-        /// Link records for every NP member.
-        links: Vec<(usize, String, f64)>,
-    },
-    /// An emerging entity: a cluster of new proper names (§5).
-    Emerging {
-        /// Noun-phrase member texts, in member order.
-        texts: Vec<String>,
-    },
-    /// An unlinked, improper cluster kept as a literal argument.
-    Literal(String),
-}
-
-/// Computes the cluster layout of one document (union-find over surviving
-/// `sameAs` edges plus per-cluster ownership keys). Pure in the stage-1
-/// artifact; cheap relative to deciding and applying.
-pub fn plan_clusters(built: &BuiltGraph, outcome: &DensifyOutcome) -> ClusterPlan {
+/// Canonicalizes one densified document graph into the shared KB. Must be
+/// called in document order: KB entity ids are allocated as mention
+/// clusters are met, in order of their first member in `built.mentions`.
+pub fn canonicalize_into(
+    kb: &mut OnTheFlyKb,
+    built: &BuiltGraph,
+    outcome: &DensifyOutcome,
+    repo: &EntityRepository,
+    patterns: &PatternRepository,
+    config: CanonConfig,
+    doc_idx: u32,
+) -> DocCanonOutput {
     let g = &built.graph;
+    let mut out = DocCanonOutput::default();
+
+    // --- mention clusters over surviving sameAs edges ---
     let mut parent: FxHashMap<NodeId, NodeId> = built.mentions.iter().map(|&n| (n, n)).collect();
     fn find(parent: &mut FxHashMap<NodeId, NodeId>, mut x: NodeId) -> NodeId {
         while parent[&x] != x {
@@ -140,174 +94,20 @@ pub fn plan_clusters(built: &BuiltGraph, outcome: &DensifyOutcome) -> ClusterPla
             }
         }
     }
+    // Clusters as (root, members), in first-member-appearance order; each
+    // cluster lists its members in `built.mentions` order.
     let mut root_of: FxHashMap<NodeId, NodeId> = FxHashMap::default();
     let mut cluster_of_root: FxHashMap<NodeId, usize> = FxHashMap::default();
-    let mut clusters: Vec<Cluster> = Vec::new();
+    let mut clusters: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
     for &n in &built.mentions {
         let root = find(&mut parent, n);
         root_of.insert(n, root);
         let idx = *cluster_of_root.entry(root).or_insert_with(|| {
-            clusters.push(Cluster {
-                root,
-                members: Vec::new(),
-                ownership: 0,
-            });
+            clusters.push((root, Vec::new()));
             clusters.len() - 1
         });
-        clusters[idx].members.push(n);
+        clusters[idx].1.push(n);
     }
-    for cluster in &mut clusters {
-        let resolved = cluster
-            .members
-            .iter()
-            .filter_map(|n| outcome.resolutions.get(n))
-            .find_map(|r| r.entity);
-        cluster.ownership = match resolved {
-            Some(e) => qkb_util::fingerprint64(&(e.index() as u64).to_le_bytes()),
-            None => {
-                qkb_util::fingerprint_seq(cluster.members.iter().filter_map(|&n| match g.node(n) {
-                    NodeKind::NounPhrase { text, .. } => Some(text.as_str()),
-                    _ => None,
-                }))
-            }
-        };
-    }
-    ClusterPlan { root_of, clusters }
-}
-
-/// Decides one cluster: linked, emerging, literal or time. A pure
-/// function of the stage-1 artifact and the shared repositories — never
-/// reads or writes the KB — so shards can decide clusters concurrently
-/// and the document-order reduce stays byte-identical to the serial fold.
-pub fn decide_cluster(
-    built: &BuiltGraph,
-    outcome: &DensifyOutcome,
-    repo: &EntityRepository,
-    config: CanonConfig,
-    cluster: &Cluster,
-) -> ClusterDecision {
-    let g = &built.graph;
-    let nodes = &cluster.members;
-    // Time mentions stand alone.
-    if let Some(&t) = nodes
-        .iter()
-        .find(|&&n| matches!(g.node(n), NodeKind::NounPhrase { is_time: true, .. }))
-    {
-        if let NodeKind::NounPhrase {
-            time_value: Some(v),
-            ..
-        } = g.node(t)
-        {
-            return ClusterDecision::Time(v.clone());
-        }
-    }
-    // Resolution: any member carries the group resolution.
-    let res = nodes
-        .iter()
-        .filter_map(|n| outcome.resolutions.get(n))
-        .find(|r| r.entity.is_some());
-    let texts: Vec<String> = nodes
-        .iter()
-        .filter_map(|&n| match g.node(n) {
-            NodeKind::NounPhrase { text, .. } => Some(text.clone()),
-            _ => None,
-        })
-        .collect();
-    let any_proper = nodes
-        .iter()
-        .any(|&n| matches!(g.node(n), NodeKind::NounPhrase { proper: true, .. }));
-    // §5: clusters that link only with very low confidence — or whose
-    // fullest name contradicts the linked entity's alias dictionary —
-    // are treated as *new* (emerging) entities.
-    let link_contradicted = |e: qkb_kb::EntityId| -> bool {
-        let aliases = &repo.entity(e).aliases;
-        texts
-            .iter()
-            .filter(|t| t.split_whitespace().count() >= 2)
-            .any(|t| {
-                !aliases.iter().any(|a| {
-                    let (na, nt) = (qkb_util::text::normalize(a), qkb_util::text::normalize(t));
-                    na == nt
-                        || qkb_util::text::is_token_suffix(&nt, &na)
-                        || qkb_util::text::is_token_suffix(&na, &nt)
-                })
-            })
-    };
-    match res {
-        Some(r)
-            if r.confidence >= config.low_link
-                && !link_contradicted(r.entity.expect("checked")) =>
-        {
-            let e = r.entity.expect("checked");
-            let mut links = Vec::new();
-            for &n in nodes {
-                if let NodeKind::NounPhrase { sentence, text, .. } = g.node(n) {
-                    links.push((*sentence, text.clone(), r.confidence));
-                }
-            }
-            ClusterDecision::Linked {
-                entity: e,
-                name: repo.entity(e).canonical.clone(),
-                confidence: r.confidence,
-                texts,
-                links,
-            }
-        }
-        _ if any_proper && !texts.is_empty() => ClusterDecision::Emerging { texts },
-        _ => {
-            let text = texts
-                .first()
-                .cloned()
-                .or_else(|| {
-                    nodes.iter().find_map(|&n| match g.node(n) {
-                        NodeKind::Pronoun { text, .. } => Some(text.clone()),
-                        _ => None,
-                    })
-                })
-                .unwrap_or_default();
-            ClusterDecision::Literal(text)
-        }
-    }
-}
-
-/// Canonicalizes one densified document graph into the shared KB (the
-/// serial fold: plan, decide every cluster in order, apply).
-pub fn canonicalize_into(
-    kb: &mut OnTheFlyKb,
-    built: &BuiltGraph,
-    outcome: &DensifyOutcome,
-    repo: &EntityRepository,
-    patterns: &PatternRepository,
-    config: CanonConfig,
-    doc_idx: u32,
-) -> DocCanonOutput {
-    let plan = plan_clusters(built, outcome);
-    let decisions: Vec<ClusterDecision> = plan
-        .clusters
-        .iter()
-        .map(|c| decide_cluster(built, outcome, repo, config, c))
-        .collect();
-    apply_decisions(kb, built, &plan, &decisions, patterns, config, doc_idx)
-}
-
-/// The serial, KB-state-dependent half of canonicalization: allocates KB
-/// entity ids and emits facts by walking the plan's clusters **in plan
-/// order** with their precomputed decisions. Must be called in document
-/// order for deterministic KB identifiers — this is the document-order
-/// reduce of the sharded merge, and with decisions computed serially it
-/// *is* the serial fold, so both paths are byte-identical by
-/// construction.
-pub fn apply_decisions(
-    kb: &mut OnTheFlyKb,
-    built: &BuiltGraph,
-    plan: &ClusterPlan,
-    decisions: &[ClusterDecision],
-    patterns: &PatternRepository,
-    config: CanonConfig,
-    doc_idx: u32,
-) -> DocCanonOutput {
-    let g = &built.graph;
-    let mut out = DocCanonOutput::default();
 
     // --- cluster -> KB entity / literal ---
     #[derive(Clone)]
@@ -317,34 +117,88 @@ pub fn apply_decisions(
         Time(String),
     }
     let mut cluster_slot: FxHashMap<NodeId, Slot> = FxHashMap::default();
-    for (cluster, decision) in plan.clusters.iter().zip(decisions) {
-        match decision {
-            ClusterDecision::Time(v) => {
-                cluster_slot.insert(cluster.root, Slot::Time(v.clone()));
+    for (root, nodes) in &clusters {
+        // Time mentions stand alone.
+        if let Some(&t) = nodes
+            .iter()
+            .find(|&&n| matches!(g.node(n), NodeKind::NounPhrase { is_time: true, .. }))
+        {
+            if let NodeKind::NounPhrase {
+                time_value: Some(v),
+                ..
+            } = g.node(t)
+            {
+                cluster_slot.insert(*root, Slot::Time(v.clone()));
+                continue;
             }
-            ClusterDecision::Linked {
-                entity,
-                name,
-                confidence,
-                texts,
-                links,
-            } => {
-                let kb_id = kb.add_linked(*entity, name);
-                for t in texts {
+        }
+        // Resolution: any member carries the group resolution.
+        let res = nodes
+            .iter()
+            .filter_map(|n| outcome.resolutions.get(n))
+            .find(|r| r.entity.is_some());
+        let texts: Vec<String> = nodes
+            .iter()
+            .filter_map(|&n| match g.node(n) {
+                NodeKind::NounPhrase { text, .. } => Some(text.clone()),
+                _ => None,
+            })
+            .collect();
+        let any_proper = nodes
+            .iter()
+            .any(|&n| matches!(g.node(n), NodeKind::NounPhrase { proper: true, .. }));
+        // §5: clusters that link only with very low confidence — or whose
+        // fullest name contradicts the linked entity's alias dictionary —
+        // are treated as *new* (emerging) entities.
+        let link_contradicted = |e: qkb_kb::EntityId| -> bool {
+            let aliases = &repo.entity(e).aliases;
+            texts
+                .iter()
+                .filter(|t| t.split_whitespace().count() >= 2)
+                .any(|t| {
+                    !aliases.iter().any(|a| {
+                        let (na, nt) = (qkb_util::text::normalize(a), qkb_util::text::normalize(t));
+                        na == nt
+                            || qkb_util::text::is_token_suffix(&nt, &na)
+                            || qkb_util::text::is_token_suffix(&na, &nt)
+                    })
+                })
+        };
+        match res {
+            Some(r)
+                if r.confidence >= config.low_link
+                    && !link_contradicted(r.entity.expect("checked")) =>
+            {
+                let e = r.entity.expect("checked");
+                let kb_id = kb.add_linked(e, &repo.entity(e).canonical);
+                for t in &texts {
                     kb.add_mention(kb_id, t);
                 }
-                cluster_slot.insert(cluster.root, Slot::Entity(kb_id, *confidence));
-                for (sentence, text, confidence) in links {
-                    out.links
-                        .push((*sentence, text.clone(), *entity, *confidence));
+                cluster_slot.insert(*root, Slot::Entity(kb_id, r.confidence));
+                // Link records for every NP member.
+                for &n in nodes {
+                    if let NodeKind::NounPhrase { sentence, text, .. } = g.node(n) {
+                        out.links.push((*sentence, text.clone(), e, r.confidence));
+                    }
                 }
             }
-            ClusterDecision::Emerging { texts } => {
-                let kb_id = kb.add_emerging(texts);
-                cluster_slot.insert(cluster.root, Slot::Entity(kb_id, 1.0));
+            _ if any_proper && !texts.is_empty() => {
+                // Emerging entity: a cluster of new names (§5).
+                let kb_id = kb.add_emerging(&texts);
+                cluster_slot.insert(*root, Slot::Entity(kb_id, 1.0));
             }
-            ClusterDecision::Literal(text) => {
-                cluster_slot.insert(cluster.root, Slot::Literal(text.clone()));
+            _ => {
+                let text = texts
+                    .first()
+                    .cloned()
+                    .or_else(|| {
+                        nodes.iter().find_map(|&n| match g.node(n) {
+                            NodeKind::Pronoun { text, .. } => Some(text.clone()),
+                            _ => None,
+                        })
+                    })
+                    .unwrap_or_default();
+                cluster_slot.insert(*root, Slot::Literal(text));
             }
         }
     }
@@ -352,7 +206,7 @@ pub fn apply_decisions(
     // Pronoun slots follow their antecedent's cluster; unresolved pronouns
     // stay literal (Figure 4's "she forget the lyric").
     let slot_of = |node: NodeId| -> Slot {
-        plan.root_of
+        root_of
             .get(&node)
             .and_then(|root| cluster_slot.get(root))
             .cloned()

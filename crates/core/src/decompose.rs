@@ -24,7 +24,9 @@
 //! Components are enumerated in order of their first member's position
 //! in `mentions`, and members keep their `mentions` order, so the
 //! recombined output is byte-for-byte what the monolithic solve
-//! produces at any `resolve_parallelism`.
+//! produces. Components are solved one after another: the speedup over
+//! the monolithic solve comes from the smaller problems (and, on top,
+//! lazy rescoring, pruning and the component cache), not from threads.
 
 use crate::densify::{DensifyOutcome, MentionResolution};
 use crate::graph::{EdgeKind, NodeId, SemanticGraph};
@@ -33,7 +35,7 @@ use crate::resolve_cache::{cached_densify, cached_ilp, CacheTally, ResolveCacheP
 use crate::weights::WeightModel;
 use qkb_kb::{BackgroundStats, EntityRepository};
 use qkb_obs::Recorder;
-use qkb_util::{par_map_ordered, FxHashMap};
+use qkb_util::FxHashMap;
 
 /// Splits `mentions` into the connected components of the coupling
 /// graph (live `sameAs` + relation edges with both endpoints in
@@ -82,79 +84,53 @@ pub fn decompose(graph: &SemanticGraph, mentions: &[NodeId]) -> Vec<Vec<NodeId>>
     components
 }
 
-/// Greedy densification, component-decomposed and fanned out over
-/// `workers` threads. Every per-component solve uses the lazy
-/// (memoized-contribution) greedy loop — byte-identical to the naive
-/// loop, see `densify_deferred` — and, when a `cache` provider is
+/// Greedy densification, component-decomposed: one serial solve per
+/// component, in component order. Every per-component solve uses the
+/// lazy (memoized-contribution) greedy loop — byte-identical to the
+/// naive loop, see `densify_deferred` — and, when a `cache` provider is
 /// attached, components whose canonical fingerprint is already solved
 /// replay the cached assignment instead of entering the loop (see
-/// `resolve_cache`). Edge kills are buffered per component and applied
-/// serially in component order after the join, so the graph mutation is
-/// deterministic. Returns the combined outcome, the component count and
-/// the cache-outcome tally.
-#[allow(clippy::too_many_arguments)]
+/// `resolve_cache`). Edge kills are buffered and applied after the last
+/// component, so every component is solved against the graph as it was
+/// built. Returns the combined outcome, the component count and the
+/// cache-outcome tally. A problem with no mentions has no components: it
+/// solves nothing and touches no cache.
 pub fn densify_decomposed(
     graph: &mut SemanticGraph,
     mentions: &[NodeId],
     model: &WeightModel,
     stats: &BackgroundStats,
     repo: &EntityRepository,
-    workers: usize,
     cache: Option<&dyn ResolveCacheProvider>,
     recorder: &Recorder,
 ) -> (DensifyOutcome, usize, CacheTally) {
     let components = decompose(graph, mentions);
     let mut tally = CacheTally::default();
-    if components.len() <= 1 {
-        let n = components.len();
-        let mut span = recorder.span("resolve_component");
-        span.field("component", 0usize);
-        span.field("mentions", mentions.len());
-        // An empty mention set has nothing to cache; a single component
-        // is the whole problem and caches like any other.
-        let cache = if n == 0 { None } else { cache };
-        let (outcome, kills, hit) = cached_densify(graph, mentions, model, stats, repo, cache);
-        span.field("cache", hit.as_str());
-        if n > 0 {
-            hit.tally(&mut tally);
-        }
-        drop(span);
-        for e in kills {
-            graph.kill_edge(e);
-        }
-        return (outcome, n, tally);
-    }
-    let parent = recorder.current();
-    let results = {
-        let g: &SemanticGraph = graph;
-        par_map_ordered(&components, workers, |i, comp| {
-            let mut span = recorder.span_at("resolve_component", parent);
-            span.field("component", i);
-            span.field("mentions", comp.len());
-            let (out, kills, hit) = cached_densify(g, comp, model, stats, repo, cache);
-            span.field("cache", hit.as_str());
-            (out, kills, hit)
-        })
-    };
-    let n = components.len();
     let mut outcome = DensifyOutcome::default();
-    for (part, kills, hit) in results {
+    let mut kills = Vec::new();
+    for (i, comp) in components.iter().enumerate() {
+        let mut span = recorder.span("resolve_component");
+        span.field("component", i);
+        span.field("mentions", comp.len());
+        let (part, part_kills, hit) = cached_densify(graph, comp, model, stats, repo, cache);
+        span.field("cache", hit.as_str());
         hit.tally(&mut tally);
         outcome.objective += part.objective;
         outcome.removed_edges += part.removed_edges;
         outcome.resolutions.extend(part.resolutions);
-        for e in kills {
-            graph.kill_edge(e);
-        }
+        kills.extend(part_kills);
     }
-    (outcome, n, tally)
+    for e in kills {
+        graph.kill_edge(e);
+    }
+    (outcome, components.len(), tally)
 }
 
-/// ILP resolution, component-decomposed and fanned out over `workers`
-/// threads. Mirrors the monolithic solve exactly: if **any** component
-/// is infeasible the whole document reports infeasible with every
-/// mention zeroed, matching what the single big program would return.
-/// Variable/node/pruning counters are summed across components.
+/// ILP resolution, component-decomposed: one serial solve per component,
+/// in component order. Mirrors the monolithic solve exactly: if **any**
+/// component is infeasible the whole document reports infeasible with
+/// every mention zeroed, matching what the single big program would
+/// return. Variable/node/pruning counters are summed across components.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn resolve_ilp_decomposed(
     graph: &SemanticGraph,
@@ -162,65 +138,45 @@ pub(crate) fn resolve_ilp_decomposed(
     model: &WeightModel,
     stats: &BackgroundStats,
     repo: &EntityRepository,
-    workers: usize,
     opts: IlpSolveOptions,
     cache: Option<&dyn ResolveCacheProvider>,
     recorder: &Recorder,
 ) -> (IlpOutcome, usize, CacheTally) {
     let components = decompose(graph, mentions);
     let mut tally = CacheTally::default();
-    if components.len() <= 1 {
-        let n = components.len();
-        let mut span = recorder.span("resolve_component");
-        span.field("component", 0usize);
-        span.field("mentions", mentions.len());
-        let cache = if n == 0 { None } else { cache };
-        let (out, hit) = cached_ilp(graph, mentions, model, stats, repo, opts, cache);
-        span.field("cache", hit.as_str());
-        if n > 0 {
-            hit.tally(&mut tally);
-        }
-        return (out, n, tally);
-    }
-    let parent = recorder.current();
-    let parts = par_map_ordered(&components, workers, |i, comp| {
-        let mut span = recorder.span_at("resolve_component", parent);
-        span.field("component", i);
-        span.field("mentions", comp.len());
-        let (out, hit) = cached_ilp(graph, comp, model, stats, repo, opts, cache);
-        span.field("cache", hit.as_str());
-        (out, hit)
-    });
-    let n = components.len();
-    for (_, hit) in &parts {
-        hit.tally(&mut tally);
-    }
-    let infeasible = parts.iter().any(|(p, _)| p.infeasible);
     let mut out = IlpOutcome {
         resolutions: FxHashMap::default(),
         objective: 0.0,
-        optimal: !infeasible,
-        infeasible,
+        optimal: true,
+        infeasible: false,
         n_variables: 0,
         nodes: 0,
         pruned_candidates: 0,
     };
-    for (part, _) in parts {
+    for (i, comp) in components.iter().enumerate() {
+        let mut span = recorder.span("resolve_component");
+        span.field("component", i);
+        span.field("mentions", comp.len());
+        let (part, hit) = cached_ilp(graph, comp, model, stats, repo, opts, cache);
+        span.field("cache", hit.as_str());
+        hit.tally(&mut tally);
         out.n_variables += part.n_variables;
         out.nodes += part.nodes;
         out.pruned_candidates += part.pruned_candidates;
-        if !infeasible {
-            out.objective += part.objective;
-            out.optimal &= part.optimal;
-            out.resolutions.extend(part.resolutions);
-        }
+        out.objective += part.objective;
+        out.optimal &= part.optimal;
+        out.infeasible |= part.infeasible;
+        out.resolutions.extend(part.resolutions);
     }
-    if infeasible {
-        for &m in mentions {
-            out.resolutions.insert(m, MentionResolution::default());
-        }
+    if out.infeasible {
+        out.objective = 0.0;
+        out.optimal = false;
+        out.resolutions = mentions
+            .iter()
+            .map(|&m| (m, MentionResolution::default()))
+            .collect();
     }
-    (out, n, tally)
+    (out, components.len(), tally)
 }
 
 #[cfg(test)]
@@ -326,35 +282,32 @@ mod tests {
         let model = WeightModel::default();
         let text = "Marcus Keller plays for Liverpool. He scored against Ashford United. \
                     Ashford United lost again. Keller joined Liverpool in 2014.";
-        for workers in [1usize, 2, 8] {
-            let mut mono = built(&repo, &stats, text);
-            let mentions = mono.mentions.clone();
-            let base = densify(&mut mono.graph, &mentions, &model, &stats, &repo);
+        let mut mono = built(&repo, &stats, text);
+        let mentions = mono.mentions.clone();
+        let base = densify(&mut mono.graph, &mentions, &model, &stats, &repo);
 
-            let mut dec = built(&repo, &stats, text);
-            let mentions = dec.mentions.clone();
-            let (out, n, tally) = densify_decomposed(
-                &mut dec.graph,
-                &mentions,
-                &model,
-                &stats,
-                &repo,
-                workers,
-                None,
-                &Recorder::disabled(),
-            );
-            assert!(n >= 1);
-            assert_eq!(
-                tally.bypass, n as u64,
-                "no provider: every component bypasses"
-            );
-            assert_eq!(out.resolutions.len(), base.resolutions.len());
-            for (node, res) in &base.resolutions {
-                let got = &out.resolutions[node];
-                assert_eq!(got.entity, res.entity, "entity @ {node:?} w={workers}");
-                assert_eq!(got.antecedent, res.antecedent);
-                assert!((got.confidence - res.confidence).abs() < 1e-15);
-            }
+        let mut dec = built(&repo, &stats, text);
+        let mentions = dec.mentions.clone();
+        let (out, n, tally) = densify_decomposed(
+            &mut dec.graph,
+            &mentions,
+            &model,
+            &stats,
+            &repo,
+            None,
+            &Recorder::disabled(),
+        );
+        assert!(n >= 1);
+        assert_eq!(
+            tally.bypass, n as u64,
+            "no provider: every component bypasses"
+        );
+        assert_eq!(out.resolutions.len(), base.resolutions.len());
+        for (node, res) in &base.resolutions {
+            let got = &out.resolutions[node];
+            assert_eq!(got.entity, res.entity, "entity @ {node:?}");
+            assert_eq!(got.antecedent, res.antecedent);
+            assert!((got.confidence - res.confidence).abs() < 1e-15);
         }
     }
 
@@ -373,7 +326,6 @@ mod tests {
             &model,
             &stats,
             &repo,
-            2,
             Some(&cache),
             &Recorder::disabled(),
         );
@@ -388,7 +340,6 @@ mod tests {
             &model,
             &stats,
             &repo,
-            2,
             Some(&cache),
             &Recorder::disabled(),
         );
@@ -435,7 +386,6 @@ mod tests {
             &model,
             &stats,
             &repo,
-            2,
             opts,
             Some(&cache),
             &Recorder::disabled(),
@@ -447,7 +397,6 @@ mod tests {
             &model,
             &stats,
             &repo,
-            2,
             opts,
             Some(&cache),
             &Recorder::disabled(),
@@ -474,34 +423,31 @@ mod tests {
         let text = "Marcus Keller plays for Liverpool. Ashford United lost again.";
         let mono = built(&repo, &stats, text);
         let base = resolve_ilp(&mono.graph, &mono.mentions, &model, &stats, &repo);
-        for workers in [1usize, 2, 8] {
-            let opts = IlpSolveOptions {
-                prune: true,
-                warm_start: true,
-                node_limit: 0,
-            };
-            let (out, n, _) = resolve_ilp_decomposed(
-                &mono.graph,
-                &mono.mentions,
-                &model,
-                &stats,
-                &repo,
-                workers,
-                opts,
-                None,
-                &Recorder::disabled(),
-            );
-            assert!(n > 1);
-            assert_eq!(out.resolutions.len(), base.resolutions.len());
-            for (node, res) in &base.resolutions {
-                let got = &out.resolutions[node];
-                assert_eq!(got.entity, res.entity, "entity @ {node:?} w={workers}");
-                assert_eq!(got.antecedent, res.antecedent);
-                assert!((got.confidence - res.confidence).abs() < 1e-15);
-            }
-            assert!(out.optimal);
-            assert!(out.n_variables <= base.n_variables);
+        let opts = IlpSolveOptions {
+            prune: true,
+            warm_start: true,
+            node_limit: 0,
+        };
+        let (out, n, _) = resolve_ilp_decomposed(
+            &mono.graph,
+            &mono.mentions,
+            &model,
+            &stats,
+            &repo,
+            opts,
+            None,
+            &Recorder::disabled(),
+        );
+        assert!(n > 1);
+        assert_eq!(out.resolutions.len(), base.resolutions.len());
+        for (node, res) in &base.resolutions {
+            let got = &out.resolutions[node];
+            assert_eq!(got.entity, res.entity, "entity @ {node:?}");
+            assert_eq!(got.antecedent, res.antecedent);
+            assert!((got.confidence - res.confidence).abs() < 1e-15);
         }
+        assert!(out.optimal);
+        assert!(out.n_variables <= base.n_variables);
     }
 
     #[test]

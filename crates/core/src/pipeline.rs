@@ -12,10 +12,7 @@
 //! pre-processing).
 
 use crate::build::{build_graph, BuildConfig, BuiltGraph, GraphArg, GraphClause};
-use crate::canonicalize::{
-    apply_decisions, canonicalize_into, decide_cluster, plan_clusters, CanonConfig,
-    ClusterDecision, ClusterPlan, DocCanonOutput,
-};
+use crate::canonicalize::{canonicalize_into, CanonConfig, DocCanonOutput};
 use crate::decompose::{densify_decomposed, resolve_ilp_decomposed};
 use crate::densify::DensifyOutcome;
 use crate::densify::{
@@ -74,34 +71,15 @@ pub struct QkbflyConfig {
     /// Worker threads for the per-document phase of [`Qkbfly::build_kb`]:
     /// `0` uses all available cores, `1` is the fully serial path. The
     /// canonicalized KB is byte-identical for every setting (per-document
-    /// outputs are merged in document order).
+    /// outputs are merged in document order). This is the system's only
+    /// thread knob: canonicalization is a serial document-order fold and
+    /// a document's coupling components are solved one after another.
     pub parallelism: usize,
-    /// Ownership shards for the **merge phase** (canonicalization):
-    /// `1` (the default) is the serial document-order fold; `n > 1`
-    /// computes per-cluster canonicalization decisions on `n` worker
-    /// threads — clusters are sharded by entity-cluster ownership (hash
-    /// of the resolved canonical repository id, or of the novel
-    /// cluster's mention texts) — and then applies them in a
-    /// deterministic document-order reduce; `0` uses all available
-    /// cores. The canonicalized KB is **byte-identical** to the serial
-    /// fold at any shard count (property-tested at 1/2/8 and gated in
-    /// CI), because deciding a cluster is a pure function of the
-    /// stage-1 artifact and only the serial reduce allocates KB ids.
-    pub merge_parallelism: usize,
-    /// Worker threads for the **resolve stage** of a single document:
-    /// the coupling graph is decomposed into independent components
-    /// (see [`crate::decompose`]) and component solves fan out over
-    /// this many threads, recombining in deterministic component-index
-    /// order. `0` uses all available cores, `1` solves components
-    /// serially (still decomposed). The resolved output — and hence the
-    /// KB — is **byte-identical** at any setting (property-tested at
-    /// 1/2/8 and gated in CI).
-    pub resolve_parallelism: usize,
     /// Decompose the per-document resolve problem into coupling
-    /// components (on by default). `false` restores the monolithic
-    /// whole-document solve — the cold baseline arm of
-    /// `bench_resolve` — and disables candidate pruning and the greedy
-    /// warm start along with it.
+    /// components (see [`crate::decompose`]; on by default). `false`
+    /// restores the monolithic whole-document solve — the cold baseline
+    /// arm of `bench_resolve` — and disables candidate pruning and the
+    /// greedy warm start along with it.
     pub resolve_decomposition: bool,
     /// Branch-and-bound node budget per ILP component solve (`0` = the
     /// solver's generous default). On exhaustion the solver falls back
@@ -121,15 +99,16 @@ impl Default for QkbflyConfig {
             pronoun_window: 5,
             emit_nary: true,
             parallelism: 0,
-            merge_parallelism: 1,
-            resolve_parallelism: 1,
             resolve_decomposition: true,
             ilp_node_budget: 0,
         }
     }
 }
 
-/// Wall-clock breakdown per stage.
+/// Per-stage durations. A single document's timings are wall clock; the
+/// timings of a build sum its documents', so when documents run on
+/// several workers the sum is CPU-side work and can exceed the build's
+/// wall clock.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StageTimings {
     /// Tokenization, tagging, NER, time tagging, chunking, parsing,
@@ -156,8 +135,8 @@ impl StageTimings {
         self.canonicalize += other.canonicalize;
     }
 
-    /// Per-stage wall-clock in microseconds, for serving metrics and
-    /// benchmark reports.
+    /// Per-stage durations in microseconds, for serving metrics and
+    /// benchmark reports (summed per document, like the fields).
     pub fn to_json(&self) -> qkb_util::json::Value {
         qkb_util::json::Value::object()
             .with("preprocess_us", self.preprocess.as_micros() as f64)
@@ -292,8 +271,8 @@ pub struct ExtendOutcome {
     /// the streaming dedup count.
     pub skipped: usize,
     /// Summed stage timings of the merged documents: canonicalize is
-    /// this call's wall clock, the earlier slots carry the artifacts'
-    /// original compute cost (their provenance).
+    /// the time this call spent merging them, the earlier slots carry
+    /// the artifacts' original compute cost (their provenance).
     pub timings: StageTimings,
 }
 
@@ -587,20 +566,6 @@ impl Qkbfly {
         self.with_config_override(|c| c.parallelism = workers)
     }
 
-    /// A new handle with the given merge-phase shard count
-    /// ([`QkbflyConfig::merge_parallelism`]), sharing the repositories
-    /// with `self`. The built KB is byte-identical at any shard count.
-    pub fn with_merge_parallelism(&self, shards: usize) -> Self {
-        self.with_config_override(|c| c.merge_parallelism = shards)
-    }
-
-    /// A new handle with the given resolve-stage worker count
-    /// ([`QkbflyConfig::resolve_parallelism`]), sharing the repositories
-    /// with `self`. The built KB is byte-identical at any worker count.
-    pub fn with_resolve_parallelism(&self, workers: usize) -> Self {
-        self.with_config_override(|c| c.resolve_parallelism = workers)
-    }
-
     /// A new handle with arbitrary configuration overrides applied on top
     /// of `self`'s configuration. Repositories, statistics and build
     /// counters stay shared with the parent handle.
@@ -780,23 +745,16 @@ impl Qkbfly {
     pub fn extend_kb(&self, kb: &mut OnTheFlyKb, stage1: &[Arc<DocStage1>]) -> ExtendOutcome {
         let mut span = self.recorder.span("extend_kb");
         let mut outcome = ExtendOutcome::default();
-        // Select the fresh artifacts up front (resident documents and
-        // repeats within the slice are skipped idempotently), so the
-        // sharded merge can decide all their clusters in one fan-out.
-        let mut in_call: qkb_util::FxHashSet<u64> = qkb_util::FxHashSet::default();
-        let fresh: Vec<Arc<DocStage1>> = stage1
-            .iter()
-            .filter(|a| {
-                if kb.contains_doc(a.fingerprint) || !in_call.insert(a.fingerprint) {
-                    outcome.skipped += 1;
-                    false
-                } else {
-                    true
-                }
-            })
-            .cloned()
-            .collect();
-        for (_, diag) in self.merge_in_order(kb, &fresh) {
+        for artifact in stage1 {
+            // Resident documents and repeats within the slice (recorded
+            // by an earlier iteration) are skipped idempotently.
+            if kb.contains_doc(artifact.fingerprint) {
+                outcome.skipped += 1;
+                continue;
+            }
+            let doc_idx = kb.n_docs() as u32;
+            let (_, diag) = self.merge_doc_ref(kb, artifact, doc_idx);
+            kb.record_doc(artifact.fingerprint);
             outcome.timings.add(&diag.timings);
             outcome.merged += 1;
         }
@@ -898,19 +856,17 @@ impl Qkbfly {
 
     /// Folds per-document stage-1 outputs, **in document order**, into one
     /// canonicalized KB with its assessment records and diagnostics.
-    ///
-    /// With [`QkbflyConfig::merge_parallelism`] ≤ 1 this streams the
-    /// iterator (one artifact resident at a time on the serial provide
-    /// paths); with more shards the artifacts are collected and their
-    /// cluster decisions computed on ownership shards before the same
-    /// document-order reduce runs — byte-identical either way.
+    /// Streams the iterator, so the serial provide paths keep one
+    /// artifact resident at a time.
     fn assemble(&self, stage1_seq: impl Iterator<Item = Arc<DocStage1>>) -> BuildResult<'_> {
         let mut kb = OnTheFlyKb::new();
         let mut records = Vec::new();
         let mut links = Vec::new();
         let mut timings = StageTimings::default();
         let mut per_doc = Vec::new();
-        let mut fold = |d: usize, out: DocCanonOutput, diag: DocResult| {
+        for (d, stage1) in stage1_seq.enumerate() {
+            let (out, diag) = self.merge_doc_ref(&mut kb, &stage1, d as u32);
+            kb.record_doc(stage1.fingerprint);
             timings.add(&diag.timings);
             for (extraction, kept, slot_entities) in out.extractions {
                 records.push(ExtractionRecord {
@@ -930,22 +886,6 @@ impl Qkbfly {
                 });
             }
             per_doc.push(diag);
-        };
-        if self.merge_shards() <= 1 {
-            for (d, stage1) in stage1_seq.enumerate() {
-                let (out, diag) = self.merge_doc_ref(&mut kb, &stage1, d as u32);
-                kb.record_doc(stage1.fingerprint);
-                fold(d, out, diag);
-            }
-        } else {
-            let artifacts: Vec<Arc<DocStage1>> = stage1_seq.collect();
-            for (d, (out, diag)) in self
-                .merge_in_order(&mut kb, &artifacts)
-                .into_iter()
-                .enumerate()
-            {
-                fold(d, out, diag);
-            }
         }
         BuildResult {
             kb,
@@ -955,139 +895,6 @@ impl Qkbfly {
             per_doc,
             patterns: &self.patterns,
         }
-    }
-
-    /// Effective merge-phase shard count (`merge_parallelism` resolved:
-    /// `0` = all cores, `1` = the serial fold).
-    fn merge_shards(&self) -> usize {
-        match self.config.merge_parallelism {
-            1 => 1,
-            n => qkb_util::effective_parallelism(n),
-        }
-    }
-
-    /// The canonicalization parameters of this handle.
-    fn canon_config(&self) -> CanonConfig {
-        CanonConfig {
-            tau: self.config.tau,
-            low_link: self.config.low_link,
-            emit_nary: self.config.emit_nary,
-        }
-    }
-
-    /// Merges `artifacts` into `kb` in slice order, continuing at the
-    /// KB's next provenance index — through the serial fold, or through
-    /// the sharded decide + document-order reduce when
-    /// [`QkbflyConfig::merge_parallelism`] asks for shards. Does **not**
-    /// de-duplicate: callers pass exactly the artifacts to merge.
-    fn merge_in_order(
-        &self,
-        kb: &mut OnTheFlyKb,
-        artifacts: &[Arc<DocStage1>],
-    ) -> Vec<(DocCanonOutput, DocResult)> {
-        let shards = self.merge_shards();
-        if shards <= 1 {
-            return artifacts
-                .iter()
-                .map(|artifact| {
-                    let doc_idx = kb.n_docs() as u32;
-                    let merged = self.merge_doc_ref(kb, artifact, doc_idx);
-                    kb.record_doc(artifact.fingerprint);
-                    merged
-                })
-                .collect();
-        }
-        let planned = self.decide_sharded(artifacts, shards);
-        let canon = self.canon_config();
-        artifacts
-            .iter()
-            .zip(planned)
-            .map(|(artifact, (plan, decisions))| {
-                let doc_idx = kb.n_docs() as u32;
-                let mut diag = artifact.diag.clone();
-                let t = Instant::now();
-                let mut apply_span = self.recorder.span("canon_apply");
-                apply_span.field("doc", doc_idx);
-                let out = apply_decisions(
-                    kb,
-                    &artifact.built,
-                    &plan,
-                    &decisions,
-                    &self.patterns,
-                    canon,
-                    doc_idx,
-                );
-                drop(apply_span);
-                // The reduce's wall clock; the shards' decide time is
-                // concurrent and not attributed per document.
-                diag.timings.canonicalize = t.elapsed();
-                kb.record_doc(artifact.fingerprint);
-                (out, diag)
-            })
-            .collect()
-    }
-
-    /// The parallel half of the sharded merge: plans every document's
-    /// clusters, distributes the `(document, cluster)` work items over
-    /// `shards` ownership shards (`ownership % shards` — the hash of the
-    /// canonical repository id, or the novel-cluster key), and computes
-    /// each cluster's [`ClusterDecision`] concurrently. Decisions are
-    /// pure in the artifacts, so the scatter back into per-document,
-    /// plan-order vectors is deterministic regardless of shard count or
-    /// scheduling.
-    fn decide_sharded(
-        &self,
-        artifacts: &[Arc<DocStage1>],
-        shards: usize,
-    ) -> Vec<(ClusterPlan, Vec<ClusterDecision>)> {
-        let mut decide_span = self.recorder.span("canon_decide");
-        decide_span.field("shards", shards);
-        decide_span.field("docs", artifacts.len());
-        let canon = self.canon_config();
-        let plans: Vec<ClusterPlan> = qkb_util::par_map_ordered(artifacts, shards, |_, a| {
-            plan_clusters(&a.built, &a.outcome)
-        });
-        let mut shard_items: Vec<Vec<(usize, usize)>> = vec![Vec::new(); shards];
-        for (d, plan) in plans.iter().enumerate() {
-            for (c, cluster) in plan.clusters.iter().enumerate() {
-                shard_items[(cluster.ownership % shards as u64) as usize].push((d, c));
-            }
-        }
-        let decided: Vec<Vec<(usize, usize, ClusterDecision)>> =
-            qkb_util::par_map_ordered(&shard_items, shards, |_, items| {
-                items
-                    .iter()
-                    .map(|&(d, c)| {
-                        let artifact = &artifacts[d];
-                        let decision = decide_cluster(
-                            &artifact.built,
-                            &artifact.outcome,
-                            &self.repo,
-                            canon,
-                            &plans[d].clusters[c],
-                        );
-                        (d, c, decision)
-                    })
-                    .collect()
-            });
-        let mut decisions: Vec<Vec<Option<ClusterDecision>>> = plans
-            .iter()
-            .map(|p| p.clusters.iter().map(|_| None).collect())
-            .collect();
-        for (d, c, decision) in decided.into_iter().flatten() {
-            decisions[d][c] = Some(decision);
-        }
-        plans
-            .into_iter()
-            .zip(decisions)
-            .map(|(plan, ds)| {
-                let ds: Vec<ClusterDecision> = ds
-                    .into_iter()
-                    .map(|d| d.expect("every cluster owned by exactly one shard"))
-                    .collect();
-                (plan, ds)
-            })
-            .collect()
     }
 
     /// The pure per-document phase: NLP preprocessing, clause detection,
@@ -1152,7 +959,6 @@ impl Qkbfly {
                         &model,
                         &self.stats,
                         &self.repo,
-                        qkb_util::effective_parallelism(self.config.resolve_parallelism),
                         IlpSolveOptions {
                             prune: true,
                             warm_start: true,
@@ -1191,7 +997,6 @@ impl Qkbfly {
                         &model,
                         &self.stats,
                         &self.repo,
-                        qkb_util::effective_parallelism(self.config.resolve_parallelism),
                         self.resolve_cache.as_deref(),
                         &self.recorder,
                     );
@@ -1258,7 +1063,11 @@ impl Qkbfly {
             &stage1.outcome,
             &self.repo,
             &self.patterns,
-            self.canon_config(),
+            CanonConfig {
+                tau: self.config.tau,
+                low_link: self.config.low_link,
+                emit_nary: self.config.emit_nary,
+            },
             doc_idx,
         );
         drop(span);
@@ -1615,47 +1424,6 @@ mod tests {
             solo.kb.to_json(sys.patterns()).to_string()
         );
         assert_eq!(sys.counters().docs() - 3, solo.per_doc.len() as u64);
-    }
-
-    #[test]
-    fn sharded_merge_is_byte_identical_to_serial_fold() {
-        let sys = system(Variant::Joint, SolverKind::Greedy);
-        let docs = vec![
-            FIG2.to_string(),
-            "Brad Pitt supported the ONE Campaign.".to_string(),
-            "Pitt donated $100,000 to the Daniel Pearl Foundation.".to_string(),
-        ];
-        let serial = sys.build_kb(&docs);
-        let serial_json = serial.kb.to_json(sys.patterns()).to_string();
-        for shards in [2usize, 3, 8] {
-            let handle = sys.with_merge_parallelism(shards);
-            let sharded = handle.build_kb(&docs);
-            assert_eq!(
-                serial_json,
-                sharded.kb.to_json(sys.patterns()).to_string(),
-                "sharded merge diverged at {shards} shards"
-            );
-            assert_eq!(serial.records.len(), sharded.records.len());
-            assert_eq!(serial.links.len(), sharded.links.len());
-        }
-        // The streaming extend path shards identically.
-        let stage1: Vec<Arc<DocStage1>> = docs
-            .iter()
-            .map(|t| Arc::new(sys.process_doc_stage1(t)))
-            .collect();
-        for shards in [2usize, 8] {
-            let handle = sys.with_merge_parallelism(shards);
-            let mut kb = OnTheFlyKb::new();
-            let first = handle.extend_kb(&mut kb, &stage1[..2]);
-            assert_eq!((first.merged, first.skipped), (2, 0));
-            let second = handle.extend_kb(&mut kb, &stage1[1..]);
-            assert_eq!((second.merged, second.skipped), (1, 1));
-            assert_eq!(
-                kb.to_json(sys.patterns()).to_string(),
-                serial_json,
-                "sharded extend_kb diverged at {shards} shards"
-            );
-        }
     }
 
     #[test]

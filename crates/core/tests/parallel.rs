@@ -86,9 +86,9 @@ fn parallelism_does_not_change_the_kb() {
 /// Resolve-stage determinism: component decomposition (with candidate
 /// pruning and warm start on the ILP path, lazy rescoring on the greedy
 /// path) must leave the full observable build state byte-identical to
-/// the monolithic serial resolve at every `resolve_parallelism`.
+/// the monolithic resolve, for both solvers.
 #[test]
-fn component_parallel_resolve_is_byte_identical() {
+fn decomposed_resolve_is_byte_identical() {
     let world = World::generate(WorldConfig::default());
     let docs = batch(&world, 8);
     for solver in [SolverKind::Greedy, SolverKind::Ilp] {
@@ -100,28 +100,23 @@ fn component_parallel_resolve_is_byte_identical() {
         let mono_fp = fingerprint(&mono_sys, &mono);
         assert!(mono.kb.n_facts() > 0, "fixture must yield facts");
 
-        for resolve_parallelism in [1usize, 2, 8] {
-            let sys = system(&world, 1).with_config_override(|c| {
-                c.solver = solver;
-                c.resolve_decomposition = true;
-                c.resolve_parallelism = resolve_parallelism;
-            });
-            let result = sys.build_kb(&docs);
-            assert_eq!(
-                fingerprint(&sys, &result),
-                mono_fp,
-                "solver={solver:?} resolve_parallelism={resolve_parallelism} diverged \
-                 from the monolithic resolve"
-            );
-        }
+        let sys = system(&world, 1).with_config_override(|c| {
+            c.solver = solver;
+            c.resolve_decomposition = true;
+        });
+        let result = sys.build_kb(&docs);
+        assert_eq!(
+            fingerprint(&sys, &result),
+            mono_fp,
+            "solver={solver:?}: decomposed resolve diverged from the monolithic resolve"
+        );
     }
 }
 
 /// The component resolve cache is invisible in the output: with the
 /// cache attached, a build — including a second build whose documents
 /// overlap the first, so cached components genuinely *replay* — is
-/// byte-identical to the cache-free build at every `resolve_parallelism`
-/// and for both solvers. A cached assignment is definitionally the
+/// byte-identical to the cache-free build for both solvers. A cached assignment is definitionally the
 /// assignment the solver would produce.
 #[test]
 fn component_cache_does_not_change_the_kb() {
@@ -138,35 +133,31 @@ fn component_cache_does_not_change_the_kb() {
     );
 
     for solver in [SolverKind::Greedy, SolverKind::Ilp] {
-        for resolve_parallelism in [1usize, 2, 8] {
-            let base_sys = system(&world, 1).with_config_override(|c| {
-                c.solver = solver;
-                c.resolve_decomposition = true;
-                c.resolve_parallelism = resolve_parallelism;
-            });
-            let fp_first = fingerprint(&base_sys, &base_sys.build_kb(&first));
-            let fp_second = fingerprint(&base_sys, &base_sys.build_kb(&second));
+        let base_sys = system(&world, 1).with_config_override(|c| {
+            c.solver = solver;
+            c.resolve_decomposition = true;
+        });
+        let fp_first = fingerprint(&base_sys, &base_sys.build_kb(&first));
+        let fp_second = fingerprint(&base_sys, &base_sys.build_kb(&second));
 
-            let cache = Arc::new(MemoryResolveCache::new());
-            let cached_sys = base_sys.with_resolve_cache(cache.clone());
-            assert_eq!(
-                fingerprint(&cached_sys, &cached_sys.build_kb(&first)),
-                fp_first,
-                "solver={solver:?} rp={resolve_parallelism}: cold cached build diverged"
-            );
-            let hits_cold = cache.hits();
-            assert_eq!(
-                fingerprint(&cached_sys, &cached_sys.build_kb(&second)),
-                fp_second,
-                "solver={solver:?} rp={resolve_parallelism}: warm cached build diverged"
-            );
-            assert!(
-                cache.hits() > hits_cold,
-                "solver={solver:?} rp={resolve_parallelism}: the overlapping batch \
-                 must replay cached components"
-            );
-            assert_eq!(cache.rejects(), 0, "no collisions expected in the fixture");
-        }
+        let cache = Arc::new(MemoryResolveCache::new());
+        let cached_sys = base_sys.with_resolve_cache(cache.clone());
+        assert_eq!(
+            fingerprint(&cached_sys, &cached_sys.build_kb(&first)),
+            fp_first,
+            "solver={solver:?}: cold cached build diverged"
+        );
+        let hits_cold = cache.hits();
+        assert_eq!(
+            fingerprint(&cached_sys, &cached_sys.build_kb(&second)),
+            fp_second,
+            "solver={solver:?}: warm cached build diverged"
+        );
+        assert!(
+            cache.hits() > hits_cold,
+            "solver={solver:?}: the overlapping batch must replay cached components"
+        );
+        assert_eq!(cache.rejects(), 0, "no collisions expected in the fixture");
     }
 }
 

@@ -136,68 +136,6 @@ proptest! {
         }
     }
 
-    /// Sharded-canonicalization invariant: computing cluster decisions on
-    /// ownership shards (`QkbflyConfig::merge_parallelism`) and applying
-    /// them through the document-order reduce is byte-identical to the
-    /// serial fold — for random document multisets/orders, on both the
-    /// assembly path and the streaming `extend_kb` path, at shard counts
-    /// 1, 2 and 8.
-    #[test]
-    fn sharded_merge_is_byte_identical_at_any_shard_count(
-        corpus_seed in 0u64..500,
-        picks in proptest::collection::vec(0usize..6, 1..7),
-    ) {
-        let world = World::generate(WorldConfig::default());
-        let sys = system(&world);
-        let pool: Vec<String> = qkb_corpus::docgen::wiki_corpus(&world, 6, corpus_seed)
-            .docs
-            .iter()
-            .map(|d| d.text.clone())
-            .collect();
-        let docs: Vec<String> = picks.iter().map(|&i| pool[i % pool.len()].clone()).collect();
-        // Stage 1 once; every comparison below re-merges the same Arcs.
-        let stage1: Vec<Arc<DocStage1>> = sys.provide_stage1(&ComputeStage1, docs.iter());
-        let serial = sys.assemble_from(&stage1);
-        let serial_json = serial.kb.to_json(sys.patterns()).to_string();
-        for shards in [1usize, 2, 8] {
-            let handle = sys.with_merge_parallelism(shards);
-            let sharded = handle.assemble_from(&stage1);
-            prop_assert_eq!(
-                &serial_json,
-                &sharded.kb.to_json(sys.patterns()).to_string(),
-                "sharded assembly diverged from the serial fold at {} shards",
-                shards
-            );
-            prop_assert_eq!(serial.records.len(), sharded.records.len());
-            prop_assert_eq!(serial.links.len(), sharded.links.len());
-            // The streaming extend path shards identically: split the
-            // artifact sequence into two turns and compare with the
-            // serial extension of the same turns.
-            let mid = stage1.len() / 2;
-            let mut kb_serial = OnTheFlyKb::new();
-            sys.extend_kb(&mut kb_serial, &stage1[..mid]);
-            sys.extend_kb(&mut kb_serial, &stage1[mid..]);
-            let mut kb_sharded = OnTheFlyKb::new();
-            handle.extend_kb(&mut kb_sharded, &stage1[..mid]);
-            handle.extend_kb(&mut kb_sharded, &stage1[mid..]);
-            prop_assert_eq!(
-                &kb_serial.to_json(sys.patterns()).to_string(),
-                &kb_sharded.to_json(sys.patterns()).to_string(),
-                "sharded extend_kb diverged from the serial fold at {} shards",
-                shards
-            );
-        }
-    }
-
-    /// Session-streaming invariant (union equivalence + id stability):
-    /// splitting a random document sequence into arbitrary query turns
-    /// and streaming each turn through `extend_kb` yields a KB
-    /// byte-identical to one cold `build_kb` of the de-duplicated union
-    /// in first-arrival order — at per-turn provide parallelism 1, 2 and
-    /// 8 — while already-resident documents are skipped idempotently and
-    /// existing entity ids / facts are never renumbered or rewritten by
-    /// an extension (the KB before a turn is a strict prefix of the KB
-    /// after it).
     #[test]
     fn streaming_extend_kb_matches_cold_union_build(
         corpus_seed in 0u64..500,

@@ -114,10 +114,6 @@ pub struct ServeConfig {
     /// Share in-flight builds across shards (off reproduces the
     /// redundant-build baseline for benchmarks).
     pub coalesce: bool,
-    /// `QkbflyConfig::parallelism` override for each shard's builds;
-    /// shards already run in parallel, so the default of 1 avoids
-    /// oversubscribing cores.
-    pub build_parallelism: usize,
     /// Total byte budget across all resident session KBs
     /// ([`QkbServer::query_in_session`]); exceeding it evicts
     /// least-recently-used sessions. `0` = unbounded.
@@ -161,7 +157,6 @@ impl std::fmt::Debug for ServeConfig {
             .field("batch_max", &self.batch_max)
             .field("batch_window", &self.batch_window)
             .field("coalesce", &self.coalesce)
-            .field("build_parallelism", &self.build_parallelism)
             .field("session_bytes", &self.session_bytes)
             .field("session_ttl", &self.session_ttl)
             .field("session_max", &self.session_max)
@@ -186,7 +181,6 @@ impl Default for ServeConfig {
             batch_max: 8,
             batch_window: Duration::from_millis(2),
             coalesce: true,
-            build_parallelism: 1,
             session_bytes: 256 << 20,
             session_ttl: Duration::from_secs(15 * 60),
             session_max: 1024,
@@ -421,14 +415,15 @@ struct Shared<E> {
 }
 
 impl<E: QueryEngine> Shared<E> {
-    /// A build handle configured like a worker shard's: private
-    /// parallelism knob, the server's recorder, and the process-wide
-    /// component resolve cache attached when enabled.
+    /// A build handle configured like a worker shard's: serial builds,
+    /// the server's recorder, and the process-wide component resolve
+    /// cache attached when enabled.
     fn build_handle(&self) -> qkbfly::Qkbfly {
         let mut qkb = self
             .engine
             .qkbfly()
-            .with_parallelism(self.config.build_parallelism)
+            // Shards are the parallelism: each builds on one thread.
+            .with_parallelism(1)
             .with_recorder(self.config.recorder.clone());
         if self.component.is_enabled() {
             qkb = qkb.with_resolve_cache(self.component.clone());

@@ -22,9 +22,8 @@ pub struct TurnReport {
     /// session KB (or repeated within the turn) — the streaming dedup
     /// count.
     pub deduped: usize,
-    /// Stage timings of the merged documents (canonicalize is this
-    /// turn's wall clock; earlier slots carry the artifacts' original
-    /// compute cost).
+    /// Stage timings of the merged documents, summed per document (the
+    /// earlier slots carry the artifacts' original compute cost).
     pub timings: StageTimings,
 }
 
